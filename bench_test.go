@@ -1,6 +1,6 @@
 package dbpl_test
 
-// One testing.B benchmark per measured experiment of EXPERIMENTS.md.
+// One testing.B benchmark per measured experiment of internal/experiments.
 // `go test -bench=. -benchmem` regenerates the performance side of every
 // claim; cmd/dbplbench prints the full tables with derived columns.
 

@@ -250,7 +250,7 @@ func (c *DB) Prepare(src string) (*Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := d.Uvarint()
+	n, err := d.Count()
 	if err != nil {
 		return nil, err
 	}
@@ -482,7 +482,7 @@ func (c *DB) Vars(ctx context.Context) ([]VarInfo, error) {
 		return nil, err
 	}
 	d := wire.NewDec(resp)
-	n, err := d.Uvarint()
+	n, err := d.Count()
 	if err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func (c *DB) newRows(ctx context.Context, header []byte) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	ncols, err := d.Uvarint()
+	ncols, err := d.Count()
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func (r *Rows) fetch() bool {
 		return false
 	}
 	d := wire.NewDec(resp)
-	n, err := d.Uvarint()
+	n, err := d.Count()
 	if err != nil {
 		r.setErr(err)
 		return false

@@ -1,4 +1,4 @@
-// dbplbench regenerates the experiment tables of EXPERIMENTS.md: every
+// dbplbench prints the experiment tables of internal/experiments: every
 // figure, worked example, and performance claim of the paper, measured on
 // this reproduction.
 //

@@ -236,7 +236,7 @@ func (d *DB) Apply(constructor string, base *Relation, args ...any) (*Relation, 
 
 // Declare introduces a relation variable programmatically.
 func (d *DB) Declare(name string, typ RelationType) error {
-	if err := d.store().Declare(name, typ); err != nil {
+	if err := d.StoreSnapshot().Declare(name, typ); err != nil {
 		return wrapErr(d.noteMutErr(err))
 	}
 	d.mu.Lock()
@@ -251,20 +251,20 @@ func (d *DB) Declare(name string, typ RelationType) error {
 // published relation is replaced copy-on-write, so batch the tuples into one
 // call where possible: n single-tuple calls copy the relation n times.
 func (d *DB) Insert(name string, tuples ...Tuple) error {
-	return wrapErr(d.noteMutErr(d.store().Insert(name, tuples...)))
+	return wrapErr(d.noteMutErr(d.StoreSnapshot().Insert(name, tuples...)))
 }
 
 // Relation returns the current value of a relation variable. The returned
 // relation is the published (immutable) value; callers must not mutate it.
-func (d *DB) Relation(name string) (*Relation, bool) { return d.store().Get(name) }
+func (d *DB) Relation(name string) (*Relation, bool) { return d.StoreSnapshot().Get(name) }
 
 // Assign replaces a relation variable's value (key-checked).
 func (d *DB) Assign(name string, rel *Relation) error {
-	return wrapErr(d.noteMutErr(d.store().Assign(name, rel)))
+	return wrapErr(d.noteMutErr(d.StoreSnapshot().Assign(name, rel)))
 }
 
 // Save writes the database's relation variables to w (binary format).
-func (d *DB) Save(w io.Writer) error { return d.store().Save(w) }
+func (d *DB) Save(w io.Writer) error { return d.StoreSnapshot().Save(w) }
 
 // QuantGraphDOT renders the augmented quant graph of the last executed
 // module in Graphviz syntax (Fig 3 of the paper).

@@ -1,5 +1,5 @@
-// Package experiments implements the reproduction experiment suite indexed
-// in DESIGN.md and reported in EXPERIMENTS.md. Each experiment regenerates
+// Package experiments implements the reproduction experiment suite, E1..E8.
+// Each experiment regenerates
 // one of the paper's figures, worked examples, or performance claims; the
 // cmd/dbplbench binary prints the tables, and the root bench_test.go wraps
 // the measured ones as testing.B benchmarks.

@@ -5,9 +5,9 @@
 // per-equation state, and keeps them current as base relations change:
 //
 //   - Committed Insert growth (and insert-only Tx commits) arrives as tuple
-//     deltas through the store's Observer choke point — the same publication
-//     point the WAL Logger and replication subscriptions use — and is queued
-//     on the affected entries. The next read resumes the semi-naive fixpoint
+//     deltas in the store's commit stream — the cache is a store.Consumer,
+//     like the replication feeds, behind the WAL Logger — and is queued on
+//     the affected entries. The next read resumes the semi-naive fixpoint
 //     from the cached state with exactly those deltas (core.System.Resume)
 //     instead of refixpointing: maintenance cost is proportional to what the
 //     delta derives, not to the size of the derived relation.
@@ -103,7 +103,7 @@ type entry struct {
 }
 
 // Cache is the materialized-view cache. It implements core.ViewProvider (the
-// read path) and store.Observer (the write path). The zero of *Cache (nil)
+// read path) and store.Consumer (the write path). The zero of *Cache (nil)
 // is a valid disabled cache: every method is a no-op and Apply declines.
 type Cache struct {
 	mu      sync.Mutex
@@ -111,8 +111,8 @@ type Cache struct {
 	entries map[string]*entry
 	lru     *list.List // front = most recently used; values are *entry
 	// byName indexes live entries by base variable and dependency names, so
-	// the observer touches only affected entries while holding the store's
-	// write lock.
+	// Committed touches only affected entries while holding the store's write
+	// lock.
 	byName map[string]map[*entry]struct{}
 	st     *store.Database
 
@@ -120,31 +120,23 @@ type Cache struct {
 	backlog                                 int
 }
 
-// New returns a cache holding at most max entries (LRU beyond that).
-func New(max int) *Cache {
+// New returns a cache over st holding at most max entries (LRU beyond that),
+// or nil — the disabled cache — when max is not positive. The cache attaches
+// itself to st's commit stream, and its registration moves with the stream
+// when the store is replaced (store.Database.ReplaceWith).
+func New(max int, st *store.Database) *Cache {
 	if max <= 0 {
 		return nil
 	}
-	return &Cache{
+	c := &Cache{
 		max:     max,
 		entries: make(map[string]*entry),
 		lru:     list.New(),
 		byName:  make(map[string]map[*entry]struct{}),
+		st:      st,
 	}
-}
-
-// Attach points the cache at a store and registers it as the store's commit
-// observer, clearing any state cached over a previous store. The session
-// calls it at Open and again whenever LoadStore swaps the store.
-func (c *Cache) Attach(st *store.Database) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.st = st
-	c.clearLocked()
-	c.mu.Unlock()
-	st.SetObserver(c)
+	_ = st.Attach(c, nil) // fails only writing an image, and there is none
+	return c
 }
 
 // Reset drops every cached entry (module execution changed declarations, a
@@ -407,9 +399,9 @@ func (c *Cache) serve(ctx context.Context, en *core.Engine, e *entry, base *rela
 // install caches a freshly solved system, verifying under the store's read
 // lock that the base and every dependency still hold the exact pointers the
 // computation saw — a write that landed between the query's snapshot and now
-// would otherwise leave a stale entry the observer never saw. The write lock
-// excluded during verification is the one every observer callback runs
-// under, so verify-and-install is atomic with respect to invalidation.
+// would otherwise leave a stale entry Committed never saw. The write lock
+// excluded during verification is the one every Committed call runs under,
+// so verify-and-install is atomic with respect to invalidation.
 func (c *Cache) install(st *store.Database, sys *core.System, key, varName string, base *relation.Relation, state []*relation.Relation) {
 	deps := sys.DepValues()
 	_, selfDep := deps[varName]
@@ -511,43 +503,36 @@ func (c *Cache) kill(e *entry) {
 }
 
 // ---------------------------------------------------------------------------
-// Write path: store.Observer
+// Write path: store.Consumer
 // ---------------------------------------------------------------------------
 
-// CommittedGrow implements store.Observer: queue the delta on entries whose
-// base variable grew and can absorb it; invalidate entries that merely read
-// the variable, and growth-unsafe entries.
-func (c *Cache) CommittedGrow(name string, tuples []value.Tuple, next *relation.Relation) {
+// Committed implements store.Consumer. Growth of an entry's base variable is
+// queued as a delta when the entry can absorb it; any other write to a
+// variable an entry reads — a reset, or growth of a variable it merely reads
+// — invalidates the entry. A store replacement re-points the cache at the new
+// store and drops every entry.
+func (c *Cache) Committed(rec *store.Commit) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for e := range c.byName[name] {
-		if e.dead {
-			continue
-		}
-		if name == e.baseVar && e.growSafe && e.pendTuples+len(tuples) <= maxPendingTuples {
-			e.pending = append(e.pending, delta{tuples: tuples, next: next})
-			e.pendTuples += len(tuples)
-			c.backlog += len(tuples)
-			continue
-		}
-		c.killLocked(e)
-		c.invalidations++
-	}
-}
-
-// CommittedReset implements store.Observer: a non-delta write invalidates
-// every entry that reads the variable.
-func (c *Cache) CommittedReset(name string, next *relation.Relation) {
-	if c == nil {
+	if rec.Replaced != nil {
+		c.st = rec.Replaced
+		c.clearLocked()
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for e := range c.byName[name] {
-		if !e.dead {
+	for _, w := range rec.Writes {
+		for e := range c.byName[w.Name] {
+			if e.dead {
+				continue
+			}
+			if w.Grow != nil && w.Name == e.baseVar && e.growSafe && e.pendTuples+len(w.Grow) <= maxPendingTuples {
+				e.pending = append(e.pending, delta{tuples: w.Grow, next: w.Rel})
+				e.pendTuples += len(w.Grow)
+				c.backlog += len(w.Grow)
+				continue
+			}
 			c.killLocked(e)
 			c.invalidations++
 		}

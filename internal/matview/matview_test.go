@@ -82,8 +82,7 @@ func newHarness(t *testing.T, capacity int, srcs ...string) *harness {
 		}
 	}
 	st := store.NewDatabase()
-	cache := matview.New(capacity)
-	cache.Attach(st)
+	cache := matview.New(capacity, st)
 	env := eval.NewEnv()
 	en := core.NewEngine(reg, env)
 	en.Mode = core.SemiNaive

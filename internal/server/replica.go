@@ -17,7 +17,7 @@ import (
 )
 
 // Replica tails a primary's replication stream into a local database: it
-// bootstraps from the primary's Subscribe-time snapshot (which the primary
+// bootstraps from the primary's attach-time snapshot (which the primary
 // captures atomically with the stream attachment, so there is no gap and no
 // overlap), then applies each committed batch as it arrives. Multi-mutation
 // batches — transaction commits — are applied through a store overlay
@@ -25,12 +25,12 @@ import (
 // at all: reads are snapshot-consistent with some committed prefix of the
 // primary's history.
 //
-// The stream carries no positions: falling behind, a primary restart, or a
-// network cut all funnel into the same recovery — reconnect and re-bootstrap
-// from the primary's current snapshot. That is also exactly what makes a
-// checkpoint-compacted log a non-event for replication: the snapshot the
-// replica re-bootstraps from already contains everything the compaction
-// folded in.
+// The stream carries no positions: falling behind, a store replacement on the
+// primary, a primary restart, or a network cut all funnel into the same
+// recovery — reconnect and re-bootstrap from the primary's current snapshot.
+// That is also exactly what makes a checkpoint-compacted log a non-event for
+// replication: the snapshot the replica re-bootstraps from already contains
+// everything the compaction folded in.
 type Replica struct {
 	db    *dbpl.DB
 	addr  string
@@ -171,7 +171,7 @@ func (r *Replica) tail(ctx context.Context) error {
 			rerr := wire.AsRemote(payload)
 			var re *wire.RemoteError
 			if errors.As(rerr, &re) && re.Code == wire.CodeBehind {
-				return fmt.Errorf("fell behind the primary; re-bootstrapping: %w", rerr)
+				return fmt.Errorf("cut off by the primary; re-bootstrapping: %w", rerr)
 			}
 			return fmt.Errorf("stream error from primary: %w", rerr)
 		default:

@@ -371,3 +371,62 @@ func TestReplicaFallBehindResync(t *testing.T) {
 	want := saveBytes(t, st.Save)
 	waitConverged(t, rdb, want, "after a burst past the follow buffer")
 }
+
+// TestFollowerResyncsAfterLoadStore replaces a followed database's store with
+// LoadStore. The follow stream must be cut so the follower re-bootstraps and
+// converges to the new state, instead of staying attached to the discarded
+// store. The follower is itself followed — every replica re-bootstrap is a
+// LoadStore — so the cut must propagate down the chain too.
+func TestFollowerResyncsAfterLoadStore(t *testing.T) {
+	pdb, err := dbpl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pdb.Close()
+	_, paddr := boot(t, pdb, server.Options{})
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	follow := func(addr string) (*dbpl.DB, string) {
+		rdb, err := dbpl.Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rdb.Close() })
+		rep := server.NewReplica(rdb, addr, "", t.Logf)
+		rep.ReconnectDelay = 10 * time.Millisecond
+		_, raddr := boot(t, rdb, server.Options{Replica: rep})
+		go rep.Run(ctx) //nolint:errcheck
+		return rdb, raddr
+	}
+	rdb, raddr := follow(paddr)
+	chained, _ := follow(raddr)
+
+	st := pdb.StoreSnapshot()
+	if err := st.Declare("Old", pairType("old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Insert("Old", tup("a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	want := saveBytes(t, pdb.Save)
+	waitConverged(t, rdb, want, "before the store swap")
+	waitConverged(t, chained, want, "chained, before the store swap")
+
+	next := store.NewDatabase()
+	if err := next.Declare("New", pairType("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Insert("New", tup("n1", "n2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := pdb.LoadStore(bytes.NewReader(saveBytes(t, next.Save))); err != nil {
+		t.Fatal(err)
+	}
+	// A write after the swap lands on the new store and must replicate too.
+	if err := pdb.StoreSnapshot().Insert("New", tup("n3", "n4")); err != nil {
+		t.Fatal(err)
+	}
+	want = saveBytes(t, pdb.Save)
+	waitConverged(t, rdb, want, "after LoadStore on the primary")
+	waitConverged(t, chained, want, "chained, after LoadStore on the primary")
+}

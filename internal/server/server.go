@@ -3,8 +3,8 @@
 // positional parameters, streaming row cursors with client-driven
 // backpressure, snapshot transactions, EXPLAIN, health — over the
 // length-prefixed wire protocol of package wire, plus the replication
-// endpoints: a primary serves FOLLOW streams off the store's log-subscription
-// hook, and a Replica tails such a stream to serve read-only queries.
+// endpoints: a FOLLOW stream is a consumer of the store's commit stream, and
+// a Replica tails such a stream to serve read-only queries.
 //
 // One server wraps one *dbpl.DB (safe for concurrent use); each accepted
 // connection is a session with its own server-held cursors, prepared
@@ -17,7 +17,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -33,7 +32,7 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultFollowBuffer is the per-subscriber channel capacity of a FOLLOW
+// DefaultFollowBuffer is the per-follower channel capacity of a FOLLOW
 // stream: how many committed batches a slow replica may lag before the
 // primary cuts it off to protect writers (the replica then reconnects and
 // re-bootstraps).
@@ -51,7 +50,7 @@ type Options struct {
 	// AuthToken, when non-empty, must be presented by every client in the
 	// opening handshake (compared in constant time).
 	AuthToken string
-	// FollowBuffer is the per-subscriber batch buffer of FOLLOW streams;
+	// FollowBuffer is the per-follower batch buffer of FOLLOW streams;
 	// 0 means DefaultFollowBuffer.
 	FollowBuffer int
 	// Replica, when non-nil, serves this database as a read-only replica:
@@ -182,22 +181,21 @@ func (s *Server) startSession(conn net.Conn) {
 // when every session ended by draining, or ctx.Err() if the deadline forced
 // the close.
 func (s *Server) Shutdown(ctx context.Context) error {
+	// Every live session learns of the drain before any new connection can
+	// see it refused, so a client turned away knows its open sessions refuse
+	// new work too.
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
 		close(s.drainCh)
 	}
+	for sess := range s.sessions {
+		sess.beginDrain()
+	}
 	for l := range s.listeners {
 		l.Close()
 	}
-	sessions := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
 	s.mu.Unlock()
-	for _, sess := range sessions {
-		sess.beginDrain()
-	}
 
 	done := make(chan struct{})
 	go func() {
@@ -299,14 +297,28 @@ func timeoutCtx(parent context.Context, millis uint64) (context.Context, context
 	return context.WithTimeout(parent, time.Duration(millis)*time.Millisecond)
 }
 
-// followState atomically captures a Save-format snapshot of the store plus a
-// subscription to every batch committed after it: a follower that loads the
-// snapshot and applies the stream sees neither a gap nor an overlap.
-func (s *Server) followState() ([]byte, *store.Subscription, error) {
-	var buf bytes.Buffer
-	sub, err := s.db.StoreSnapshot().Subscribe(&buf, s.opts.FollowBuffer)
-	if err != nil {
-		return nil, nil, err
+// follower is the commit consumer behind one FOLLOW stream. It queues each
+// committed batch for the session goroutine and never blocks a writer: when
+// the follower falls FollowBuffer batches behind, or the store is replaced
+// under it (LoadStore), it closes c instead, and the follower reconnects to
+// re-bootstrap.
+type follower struct {
+	c   chan []store.Mutation
+	cut bool // c is closed; touched only by Committed, under the store lock
+}
+
+// Committed implements store.Consumer.
+func (f *follower) Committed(rec *store.Commit) {
+	if f.cut {
+		return
 	}
-	return buf.Bytes(), sub, nil
+	if rec.Replaced == nil {
+		select {
+		case f.c <- rec.Batch:
+			return
+		default:
+		}
+	}
+	f.cut = true
+	close(f.c)
 }

@@ -6,7 +6,9 @@ package server_test
 // per-session and per-server resource limits, and the graceful drain.
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -17,6 +19,7 @@ import (
 	"repro/client"
 
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // boot starts a server over db on a loopback listener and returns its
@@ -403,5 +406,62 @@ func TestServerDrainRefusesNewWork(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestServerMalformedArgsKeepSession sends a query whose argument block is a
+// single 9-byte count of 1<<62 arguments. The server must answer with a TErr
+// frame, not size anything by the count, and keep the session serving.
+func TestServerMalformedArgsKeepSession(t *testing.T) {
+	db, err := dbpl.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	_, addr := boot(t, db, server.Options{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if _, err := wire.ClientHello(conn, br, ""); err != nil {
+		t.Fatal(err)
+	}
+
+	e := wire.NewEnc()
+	e.Str("Objs")
+	e.Uvarint(0) // no timeout
+	payload, err := e.Payload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := binary.AppendUvarint(nil, 1<<62)
+	if len(block) != 9 {
+		t.Fatalf("argument block is %d bytes, want 9", len(block))
+	}
+	if err := wire.WriteFrame(conn, wire.TQuery, append(payload, block...)); err != nil {
+		t.Fatal(err)
+	}
+	typ, resp, err := wire.ReadFrame(br)
+	if err != nil {
+		t.Fatalf("no answer to the malformed query: %v", err)
+	}
+	if typ != wire.TErr {
+		t.Fatalf("malformed query answered with frame type %d, want TErr", typ)
+	}
+	if code, _, err := wire.DecodeErr(resp); err != nil || code != wire.CodeProto {
+		t.Fatalf("malformed query error code %q (%v), want %q", code, err, wire.CodeProto)
+	}
+
+	// The session survives and keeps serving.
+	if err := wire.WriteFrame(conn, wire.THealth, nil); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wire.ReadFrame(br); err != nil || typ != wire.THealthInfo {
+		t.Fatalf("health after the malformed query: type %d, err %v", typ, err)
 	}
 }

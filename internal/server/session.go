@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/subtle"
 	"errors"
@@ -12,6 +13,7 @@ import (
 
 	dbpl "repro"
 
+	"repro/internal/store"
 	"repro/internal/value"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -159,10 +161,13 @@ func (s *session) serve() {
 		s.busy = true
 		s.stateMu.Unlock()
 
+		d := wire.NewDec(payload)
 		if draining && !drainAllowed(typ) {
 			err = s.respondErr(wire.CodeShutdown, errors.New("dbpld: server is shutting down; no new work"))
-		} else {
-			err = s.dispatch(typ, payload)
+		} else if err = s.dispatch(typ, d); err != nil && d.Err() != nil {
+			// A malformed request is answered like any failed one; the
+			// handler returned before writing a response.
+			err = s.respondErr(wire.CodeProto, fmt.Errorf("dbpld: malformed request: %w", err))
 		}
 
 		s.stateMu.Lock()
@@ -268,10 +273,10 @@ func (s *session) ok() error {
 }
 
 // dispatch handles one request frame. It returns an error only for transport
-// failures — session-API errors go back to the client as TErr and the
-// connection lives on.
-func (s *session) dispatch(typ byte, payload []byte) error {
-	d := wire.NewDec(payload)
+// failures and malformed requests (d.Err() set; returned as soon as met,
+// before any response is written) — session-API errors go back to the client
+// as TErr and the connection lives on.
+func (s *session) dispatch(typ byte, d *wire.Dec) error {
 	switch typ {
 	case wire.TExec:
 		return s.handleExec(d)
@@ -312,7 +317,7 @@ func (s *session) dispatch(typ byte, payload []byte) error {
 
 // decodeArgs reads a uvarint count followed by that many scalars.
 func decodeArgs(d *wire.Dec) ([]any, error) {
-	n, err := d.Uvarint()
+	n, err := d.Count()
 	if err != nil {
 		return nil, err
 	}
@@ -352,18 +357,26 @@ func (s *session) handleExec(d *wire.Dec) error {
 	return s.respond(wire.TExecResult, e)
 }
 
-// queryCtx builds the context a cursor-opening query runs under: the
-// client's timeout bounds the evaluation only — the timer is disarmed by the
-// caller once the result is materialized — while the returned cancel is tied
-// to the cursor's lifetime, since the rows keep iterating under this context
+// runQuery runs one cursor-opening query and answers with the cursor header
+// or the error. The client's timeout bounds the evaluation only — the timer
+// is disarmed once the result is materialized — while the context's cancel
+// is tied to the cursor's lifetime, since the rows keep iterating under it
 // across later fetches.
-func (s *session) queryCtx(millis uint64) (context.Context, *time.Timer, context.CancelFunc) {
+func (s *session) runQuery(millis uint64, query func(context.Context) (*dbpl.Rows, error)) error {
 	ctx, cancel := context.WithCancel(s.ctx)
 	var timer *time.Timer
 	if millis > 0 {
 		timer = time.AfterFunc(time.Duration(millis)*time.Millisecond, cancel)
 	}
-	return ctx, timer, cancel
+	rows, err := query(ctx)
+	if timer != nil {
+		timer.Stop()
+	}
+	if err != nil {
+		cancel()
+		return s.respondErr("", err)
+	}
+	return s.openCursor(rows, cancel)
 }
 
 // openCursor registers rows under a fresh id and answers with the header.
@@ -410,22 +423,14 @@ func (s *session) handleQuery(d *wire.Dec) error {
 	if err != nil {
 		return err
 	}
-	ctx, timer, cancel := s.queryCtx(millis)
-	st, err := s.srv.db.Prepare(src)
-	if err != nil {
-		cancel()
-		return s.respondErr("", err)
-	}
-	rows, err := st.QueryRows(ctx, args...)
-	st.Close() // the cursor holds the materialized result; the stmt can go
-	if timer != nil {
-		timer.Stop()
-	}
-	if err != nil {
-		cancel()
-		return s.respondErr("", err)
-	}
-	return s.openCursor(rows, cancel)
+	return s.runQuery(millis, func(ctx context.Context) (*dbpl.Rows, error) {
+		st, err := s.srv.db.Prepare(src)
+		if err != nil {
+			return nil, err
+		}
+		defer st.Close() // the cursor holds the materialized result; the stmt can go
+		return st.QueryRows(ctx, args...)
+	})
 }
 
 func (s *session) handlePrepare(d *wire.Dec) error {
@@ -467,16 +472,9 @@ func (s *session) handleStmtQuery(d *wire.Dec) error {
 	if !ok {
 		return s.respondErr("", dbpl.ErrStmtClosed)
 	}
-	ctx, timer, cancel := s.queryCtx(millis)
-	rows, err := st.QueryRows(ctx, args...)
-	if timer != nil {
-		timer.Stop()
-	}
-	if err != nil {
-		cancel()
-		return s.respondErr("", err)
-	}
-	return s.openCursor(rows, cancel)
+	return s.runQuery(millis, func(ctx context.Context) (*dbpl.Rows, error) {
+		return st.QueryRows(ctx, args...)
+	})
 }
 
 func (s *session) handleStmtClose(d *wire.Dec) error {
@@ -509,7 +507,9 @@ func (s *session) handleFetch(d *wire.Dec) error {
 	if !ok {
 		return s.respondErr(wire.CodeClosed, errors.New("dbpld: cursor is closed"))
 	}
-	tuples := make([]value.Tuple, 0, max)
+	// max is the client's word: it bounds the batch, but sizes no allocation
+	// past the client's default fetch size.
+	tuples := make([]value.Tuple, 0, min(max, 256))
 	for uint64(len(tuples)) < max && c.rows.Next() {
 		// Rows reuses no buffers — Tuple() hands out the relation's own
 		// tuple, safe to keep until encoded below.
@@ -629,16 +629,9 @@ func (s *session) handleTxQuery(d *wire.Dec) error {
 	if !ok {
 		return s.respondErr("", dbpl.ErrTxDone)
 	}
-	ctx, timer, cancel := s.queryCtx(millis)
-	rows, err := tx.QueryRows(ctx, src, args...)
-	if timer != nil {
-		timer.Stop()
-	}
-	if err != nil {
-		cancel()
-		return s.respondErr("", err)
-	}
-	return s.openCursor(rows, cancel)
+	return s.runQuery(millis, func(ctx context.Context) (*dbpl.Rows, error) {
+		return tx.QueryRows(ctx, src, args...)
+	})
 }
 
 func (s *session) handleTxEnd(d *wire.Dec, commit bool) error {
@@ -747,19 +740,22 @@ func (s *session) handleVars() error {
 	return s.respond(wire.TVarsInfo, e)
 }
 
-// handleFollow flips the connection into a replication stream: the
-// Subscribe-time snapshot as TFollowSnap, then one TFollowBatch per committed
-// batch, until the client disconnects, the server drains, or the subscriber
-// falls behind the FollowBuffer (the stream ends with a "behind" error and
-// the follower reconnects to re-bootstrap — the same path that catches up
-// over a checkpoint that compacted the log).
+// handleFollow flips the connection into a replication stream: the state
+// captured at attach time as TFollowSnap, then one TFollowBatch per committed
+// batch, until the client disconnects, the server drains, or the follower is
+// cut off — by falling FollowBuffer batches behind or by a store replacement.
+// A cut ends the stream with a "behind" error and the follower reconnects to
+// re-bootstrap (the same path that catches up over a checkpoint that
+// compacted the log).
 func (s *session) handleFollow() error {
-	snap, sub, err := s.srv.followState()
-	if err != nil {
+	var snap bytes.Buffer
+	f := &follower{c: make(chan []store.Mutation, s.srv.opts.FollowBuffer)}
+	st := s.srv.db.StoreSnapshot()
+	if err := st.Attach(f, &snap); err != nil {
 		return s.respondErr("", err)
 	}
-	defer sub.Close()
-	if err := wire.WriteFrame(s.bw, wire.TFollowSnap, snap); err != nil {
+	defer st.Detach(f)
+	if err := wire.WriteFrame(s.bw, wire.TFollowSnap, snap.Bytes()); err != nil {
 		return err
 	}
 	if err := s.bw.Flush(); err != nil {
@@ -770,9 +766,9 @@ func (s *session) handleFollow() error {
 	// write, a drain by drainCh.
 	for {
 		select {
-		case batch, live := <-sub.C:
+		case batch, live := <-f.c:
 			if !live {
-				return s.respondErr(wire.CodeBehind, fmt.Errorf("dbpld: follower fell more than %d batches behind; reconnect to re-bootstrap", s.srv.opts.FollowBuffer))
+				return s.respondErr(wire.CodeBehind, fmt.Errorf("dbpld: follower fell more than %d batches behind or the store was replaced; reconnect to re-bootstrap", s.srv.opts.FollowBuffer))
 			}
 			payload, err := wal.EncodeBatch(batch)
 			if err != nil {

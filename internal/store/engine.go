@@ -1,7 +1,7 @@
 package store
 
 // The storage-engine split: Database owns semantics (guarded assignment,
-// write-ahead logging, subscriptions, observers, transactions, access paths)
+// the commit stream, transactions, access paths)
 // and delegates the physical binding of variable names to relation values to
 // a pluggable Engine. The memory engine below keeps everything resident —
 // byte-for-byte the pre-split behavior — while internal/pagestore implements
@@ -25,7 +25,7 @@ import (
 // Published relation values remain immutable under every engine: Publish and
 // PublishDelta install a fresh pointer and the engine must hand exactly that
 // pointer back from Get until the next publication, so pointer-identity
-// invariants (access-path keys, the matview Observer, NameOf) keep holding.
+// invariants (access-path keys, the matview cache, NameOf) keep holding.
 type Engine interface {
 	// EngineName identifies the implementation ("memory", "paged") for
 	// health reporting.
@@ -71,7 +71,7 @@ type Engine interface {
 // the logical Save image — the paged engine writes a page manifest and
 // flushes only dirty pages, making checkpoint cost O(dirty), not
 // O(database). The Database routes WAL checkpoint state through it when
-// present; logical snapshots for replication (Subscribe) always use Save.
+// present; Attach images for replication always use Save.
 type CheckpointWriter interface {
 	WriteCheckpoint(w io.Writer) error
 }

@@ -5,30 +5,40 @@ import (
 	"testing"
 
 	"repro/internal/relation"
-	"repro/internal/value"
 )
 
-// recObserver records every observer callback in order.
+// recObserver is a Consumer recording every delivered write in order, as
+// "grow <name> +<tuples>" or "reset <name>".
 type recObserver struct {
 	events []string
 	nexts  []*relation.Relation
 }
 
-func (o *recObserver) CommittedGrow(name string, tuples []value.Tuple, next *relation.Relation) {
-	o.events = append(o.events, fmt.Sprintf("grow %s +%d", name, len(tuples)))
-	o.nexts = append(o.nexts, next)
+func (o *recObserver) Committed(c *Commit) {
+	for _, w := range c.Writes {
+		if w.Grow != nil {
+			o.events = append(o.events, fmt.Sprintf("grow %s +%d", w.Name, len(w.Grow)))
+		} else {
+			o.events = append(o.events, "reset "+w.Name)
+		}
+		o.nexts = append(o.nexts, w.Rel)
+	}
 }
 
-func (o *recObserver) CommittedReset(name string, next *relation.Relation) {
-	o.events = append(o.events, "reset "+name)
-	o.nexts = append(o.nexts, next)
+// observe attaches a fresh recorder to db.
+func observe(t *testing.T, db *Database) *recObserver {
+	t.Helper()
+	obs := &recObserver{}
+	if err := db.Attach(obs, nil); err != nil {
+		t.Fatal(err)
+	}
+	return obs
 }
 
 func TestObserverInsertGrow(t *testing.T) {
 	db := NewDatabase()
 	_ = db.Declare("R", binT)
-	obs := &recObserver{}
-	db.SetObserver(obs)
+	obs := observe(t, db)
 	if err := db.Insert("R", pair("a", "b"), pair("b", "c")); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +61,7 @@ func TestObserverInsertGrow(t *testing.T) {
 
 func TestObserverAssignAndDeclareReset(t *testing.T) {
 	db := NewDatabase()
-	obs := &recObserver{}
-	db.SetObserver(obs)
+	obs := observe(t, db)
 	_ = db.Declare("R", binT)
 	if err := db.Assign("R", relation.MustFromTuples(binT, pair("a", "b"))); err != nil {
 		t.Fatal(err)
@@ -67,8 +76,7 @@ func TestObserverTxInsertOnlyIsGrow(t *testing.T) {
 	db := NewDatabase()
 	_ = db.Declare("R", binT)
 	_ = db.Insert("R", pair("a", "b"))
-	obs := &recObserver{}
-	db.SetObserver(obs)
+	obs := observe(t, db)
 
 	tx := db.Begin()
 	if err := tx.Insert("R", pair("b", "c")); err != nil {
@@ -89,8 +97,7 @@ func TestObserverTxOverwriteIsReset(t *testing.T) {
 	db := NewDatabase()
 	_ = db.Declare("R", binT)
 	_ = db.Insert("R", pair("a", "b"))
-	obs := &recObserver{}
-	db.SetObserver(obs)
+	obs := observe(t, db)
 
 	// Assign inside the transaction: even with a later insert, the commit is
 	// a reset — the write is not expressible as a pure growth delta.
@@ -112,8 +119,7 @@ func TestObserverTxOverwriteIsReset(t *testing.T) {
 func TestObserverTxInsertOverStaleBaseIsReset(t *testing.T) {
 	db := NewDatabase()
 	_ = db.Declare("R", binT)
-	obs := &recObserver{}
-	db.SetObserver(obs)
+	obs := observe(t, db)
 
 	// A concurrent writer moves R between Begin and Commit: the transaction's
 	// inserts were validated against a superseded base, so the commit must

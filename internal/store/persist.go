@@ -29,8 +29,34 @@ const (
 // engine.
 const PagedManifestMagic = "DBPLPMAN"
 
+// CodecWriter is the sink the scalar codecs encode into: a *bufio.Writer over
+// a file, or a *bytes.Buffer building a message payload.
+type CodecWriter interface {
+	io.Writer
+	io.ByteWriter
+}
+
+// CodecReader is the source the scalar codecs decode from: a *bufio.Reader
+// over a file, or a *bytes.Reader over a message payload. A source that
+// reports the bytes it has left, as *bytes.Reader does with Len, also bounds
+// every length and count the codecs read (see CheckCount).
+type CodecReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// CheckCount rejects a length or element count n read off r that exceeds the
+// bytes r has left, when r can tell: every element encodes in at least one
+// byte, so a larger n is corrupt, and it must never size an allocation.
+func CheckCount(r CodecReader, n uint64) error {
+	if l, ok := r.(interface{ Len() int }); ok && n > uint64(l.Len()) {
+		return fmt.Errorf("store: corrupt count %d with %d bytes left", n, l.Len())
+	}
+	return nil
+}
+
 // WriteUvarint writes an unsigned varint.
-func WriteUvarint(w *bufio.Writer, u uint64) error {
+func WriteUvarint(w CodecWriter, u uint64) error {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], u)
 	_, err := w.Write(buf[:n])
@@ -38,22 +64,25 @@ func WriteUvarint(w *bufio.Writer, u uint64) error {
 }
 
 // WriteString writes a length-prefixed string.
-func WriteString(w *bufio.Writer, s string) error {
+func WriteString(w CodecWriter, s string) error {
 	if err := WriteUvarint(w, uint64(len(s))); err != nil {
 		return err
 	}
-	_, err := w.WriteString(s)
+	_, err := io.WriteString(w, s)
 	return err
 }
 
 // ReadString reads a length-prefixed string.
-func ReadString(r *bufio.Reader) (string, error) {
+func ReadString(r CodecReader) (string, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", err
 	}
 	if n > 1<<30 {
 		return "", fmt.Errorf("store: corrupt string length %d", n)
+	}
+	if err := CheckCount(r, n); err != nil {
+		return "", err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -63,7 +92,7 @@ func ReadString(r *bufio.Reader) (string, error) {
 }
 
 // WriteValue writes one scalar value (kind byte plus payload).
-func WriteValue(w *bufio.Writer, v value.Value) error {
+func WriteValue(w CodecWriter, v value.Value) error {
 	if err := w.WriteByte(byte(v.Kind())); err != nil {
 		return err
 	}
@@ -87,7 +116,7 @@ func WriteValue(w *bufio.Writer, v value.Value) error {
 }
 
 // ReadValue reads one scalar value.
-func ReadValue(r *bufio.Reader) (value.Value, error) {
+func ReadValue(r CodecReader) (value.Value, error) {
 	k, err := r.ReadByte()
 	if err != nil {
 		return value.Value{}, err
@@ -116,7 +145,7 @@ func ReadValue(r *bufio.Reader) (value.Value, error) {
 	}
 }
 
-func writeScalarType(w *bufio.Writer, t schema.ScalarType) error {
+func writeScalarType(w CodecWriter, t schema.ScalarType) error {
 	if err := WriteString(w, t.Name); err != nil {
 		return err
 	}
@@ -144,7 +173,7 @@ func writeScalarType(w *bufio.Writer, t schema.ScalarType) error {
 	return nil
 }
 
-func readScalarType(r *bufio.Reader) (schema.ScalarType, error) {
+func readScalarType(r CodecReader) (schema.ScalarType, error) {
 	var t schema.ScalarType
 	var err error
 	if t.Name, err = ReadString(r); err != nil {
@@ -173,7 +202,7 @@ func readScalarType(r *bufio.Reader) (schema.ScalarType, error) {
 
 // WriteRelationType writes a full relation type descriptor (type name,
 // attributes with domains, key).
-func WriteRelationType(w *bufio.Writer, typ schema.RelationType) error {
+func WriteRelationType(w CodecWriter, typ schema.RelationType) error {
 	if err := WriteString(w, typ.Name); err != nil {
 		return err
 	}
@@ -201,7 +230,7 @@ func WriteRelationType(w *bufio.Writer, typ schema.RelationType) error {
 
 // ReadRelationType reads a relation type descriptor written by
 // WriteRelationType.
-func ReadRelationType(r *bufio.Reader) (schema.RelationType, error) {
+func ReadRelationType(r CodecReader) (schema.RelationType, error) {
 	var typ schema.RelationType
 	var err error
 	if typ.Name, err = ReadString(r); err != nil {
@@ -213,6 +242,9 @@ func ReadRelationType(r *bufio.Reader) (schema.RelationType, error) {
 	}
 	if arity > 1<<20 {
 		return typ, fmt.Errorf("store: corrupt arity %d", arity)
+	}
+	if err := CheckCount(r, arity); err != nil {
+		return typ, err
 	}
 	attrs := make([]schema.Attribute, arity)
 	for j := range attrs {
@@ -296,9 +328,14 @@ func (db *Database) saveLocked(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a database previously written by Save.
+// Load reads a database previously written by Save. A source that is already
+// a CodecReader is read directly: a *bytes.Reader (a replica's bootstrap
+// image) then bounds every length in the image by the bytes it holds.
 func Load(r io.Reader) (*Database, error) {
-	br := bufio.NewReader(r)
+	br, ok := r.(CodecReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ package store
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -37,8 +38,8 @@ const (
 	OpInsert Op = 3
 )
 
-// Mutation is one committed state change, as handed to a Logger immediately
-// before it is published.
+// Mutation is one committed state change, as handed to the Logger and, inside
+// a Commit, to every Consumer.
 type Mutation struct {
 	Op     Op
 	Name   string
@@ -47,37 +48,58 @@ type Mutation struct {
 	Tuples []value.Tuple       // OpInsert
 }
 
-// Logger receives every committed mutation before it is published
-// (write-ahead). Append is called with the database's write lock held; state
-// serializes the pre-batch published state in Save format, so the logger can
-// cut a snapshot checkpoint at exactly the log position it is appending to.
-// An Append error aborts the mutation: nothing is published.
+// Logger receives every committed batch before it is published (write-ahead).
+// state serializes the pre-batch published state, so the logger can cut a
+// snapshot checkpoint at exactly the log position it is appending to.
 //
-// Lock ordering: the store lock is always acquired before any logger-internal
-// lock (Append and Checkpoint are only ever called with db.mu held), so a
-// Logger must not call back into the Database.
+// Every mutation path (Declare, Assign, Insert, Tx.Commit) commits through one
+// step that holds the database's write lock from start to end, and that step
+// is the single ordering and error contract of the store's commit stream:
+//
+//  1. the Logger appends the batch — the only step that can fail, and its
+//     error aborts the mutation with nothing published and nothing delivered;
+//  2. the batch is published and access paths over replaced values dropped;
+//  3. each attached Consumer receives one Commit, in attachment order.
+//
+// Consumers therefore see records in exactly the order the logger logged
+// them. Neither a Logger nor a Consumer may call back into the Database: the
+// store lock is always acquired before any lock of theirs.
 type Logger interface {
 	Append(batch []Mutation, state func(io.Writer) error) error
 	Checkpoint(state func(io.Writer) error) error
 }
 
-// Observer receives every committed mutation synchronously at the store's
-// publication points — the same choke point the WAL Logger and the
-// subscription fan-out use — with the new published relation pointer in hand.
-// The materialized-view cache implements it to maintain derived results
-// incrementally.
-//
-// CommittedGrow reports growth expressible as a tuple delta: next is exactly
-// the previous published value plus tuples (Insert, and insert-only Tx writes
-// whose base was not overtaken). CommittedReset reports everything else — an
-// Assign overwrite, a Tx write that replaced or shrank the value, a fresh
-// Declare — for which the only safe reaction is invalidation.
-//
-// Both calls run with the database's write lock held: they must be fast and,
-// like a Logger, must never call back into the Database.
-type Observer interface {
-	CommittedGrow(name string, tuples []value.Tuple, next *relation.Relation)
-	CommittedReset(name string, next *relation.Relation)
+// Commit is one committed batch as handed to consumers.
+type Commit struct {
+	// Batch is the mutation batch the logger accepted.
+	Batch []Mutation
+	// Writes is the publication of each mutation: Writes[i] is the value
+	// Batch[i] published.
+	Writes []Write
+	// Replaced is set, with Batch and Writes empty, when ReplaceWith handed
+	// the stream to a replacement store: every variable may have changed,
+	// and every later record comes from Replaced.
+	Replaced *Database
+}
+
+// Write is the published result of one mutation.
+type Write struct {
+	Name string
+	// Rel is the variable's new published value.
+	Rel *relation.Relation
+	// Grow holds the inserted tuples when Rel is exactly the previous
+	// published value plus them (Insert, and insert-only Tx writes whose base
+	// was not overtaken). nil means reset — an overwrite, a shrink, a fresh
+	// declaration — for which the only safe reaction is invalidation.
+	Grow []value.Tuple
+}
+
+// Consumer receives every Commit after it is logged and published, under the
+// contract documented on Logger. The materialized-view cache and replication feeds
+// implement it. Committed runs with the database's write lock held, so it
+// must be fast and must not call back into the Database.
+type Consumer interface {
+	Committed(c *Commit)
 }
 
 // Guard is a tuple predicate enforced on assignment (a selector's predicate
@@ -121,14 +143,12 @@ type Database struct {
 	// engine binds variable names to relation values (see Engine); the
 	// default is the fully resident memory engine.
 	engine Engine
-	// logger, when set, receives every mutation before it is published.
-	logger Logger
-	// subs are the attached log subscribers (replication streams); they
-	// receive every committed batch after the logger has accepted it.
-	subs []*Subscription
-	// observer, when set, is notified synchronously at every publication
-	// point (see Observer).
-	observer Observer
+	// logger and consumers are the commit stream (see commitLocked);
+	// ReplaceWith moves both to the replacing database and records it as
+	// successor.
+	logger    Logger
+	consumers []Consumer
+	successor *Database
 
 	// pathMu guards the lazily built physical access paths (section 4's
 	// "physical access path ... partitions [the relation] according to the
@@ -176,38 +196,48 @@ func (db *Database) Declare(name string, typ schema.RelationType) error {
 	if _, dup := db.engine.Type(name); dup {
 		return fmt.Errorf("store: variable %q already declared", name)
 	}
-	if err := db.logLocked([]Mutation{{Op: OpDeclare, Name: name, Type: typ}}); err != nil {
-		return err
-	}
-	db.engine.Declare(name, typ)
-	// A fresh declaration can change what a cached name resolves to.
-	rel, _, _ := db.engine.Get(name)
-	db.observeReset(name, rel)
-	return nil
+	return db.commitLocked(&Commit{
+		Batch:  []Mutation{{Op: OpDeclare, Name: name, Type: typ}},
+		Writes: []Write{{Name: name}},
+	})
 }
 
-// logLocked hands a batch to the attached logger (write-ahead: the caller
-// publishes only after it returns nil) and, once the logger has accepted it,
-// fans it out to the attached subscribers. Caller holds db.mu and publishes
-// unconditionally after a nil return, so a batch a subscriber receives is a
-// batch that becomes visible — the subscription stream is exactly the
-// committed mutation sequence.
-func (db *Database) logLocked(batch []Mutation) error {
+// commitLocked is the one commit step (see Logger): log c.Batch, publish
+// c.Writes, deliver c. A declaration's Write gets its Rel from the engine,
+// which builds the empty value. Caller holds db.mu.
+func (db *Database) commitLocked(c *Commit) error {
 	if db.logger != nil {
-		if err := db.logger.Append(batch, db.ckptStateLocked); err != nil {
+		if err := db.logger.Append(c.Batch, db.ckptStateLocked); err != nil {
 			return err
 		}
 	}
-	db.notifyLocked(batch)
+	for i := range c.Writes {
+		w := &c.Writes[i]
+		if old, ok := db.engine.Cached(w.Name); ok {
+			db.dropPaths(old)
+		}
+		switch {
+		case c.Batch[i].Op == OpDeclare:
+			db.engine.Declare(w.Name, c.Batch[i].Type)
+			w.Rel, _, _ = db.engine.Get(w.Name)
+		case w.Grow != nil:
+			db.engine.PublishDelta(w.Name, w.Grow, w.Rel)
+		default:
+			db.engine.Publish(w.Name, w.Rel)
+		}
+	}
+	for _, con := range db.consumers {
+		con.Committed(c)
+	}
 	return nil
 }
 
 // ckptStateLocked is the checkpoint-state closure handed to the logger: the
 // engine's native checkpoint format when it has one (the paged engine's
 // dirty-page flush plus manifest), otherwise the logical Save image. Caller
-// holds db.mu. Replication snapshots (Subscribe) deliberately do not come
-// through here — a replica is a memory-engine store and needs the logical
-// image regardless of the primary's engine.
+// holds db.mu. Attach images deliberately do not come through here — a
+// replica is a memory-engine store and needs the logical image regardless of
+// the primary's engine.
 func (db *Database) ckptStateLocked(w io.Writer) error {
 	if cw, ok := db.engine.(CheckpointWriter); ok {
 		return cw.WriteCheckpoint(w)
@@ -215,108 +245,70 @@ func (db *Database) ckptStateLocked(w io.Writer) error {
 	return db.saveLocked(w)
 }
 
-// Subscription is one attached consumer of the database's committed-mutation
-// stream (a replication feed). Batches arrive on C in commit order, starting
-// from the state captured at Subscribe time. A subscriber that falls behind
-// the channel's capacity is cut off — C is closed — rather than ever blocking
-// a writer; the consumer detects the close and re-subscribes, obtaining a
-// fresh base state (the same resync it needs after a dropped connection).
-type Subscription struct {
-	// C delivers committed mutation batches in commit order. It is closed
-	// when the subscription is cancelled or cut off for falling behind.
-	C <-chan []Mutation
-
-	db *Database
-	ch chan []Mutation
+// Attach registers c to receive every Commit made after the call. With image
+// non-nil it first writes the current state there in Save format, under the
+// same write lock, so the image plus the records c receives reproduce the
+// store with no gap and no overlap. Attaching to a database that ReplaceWith
+// has superseded attaches to its replacement.
+func (db *Database) Attach(c Consumer, image io.Writer) error {
+	db = db.lockCurrent()
+	defer db.mu.Unlock()
+	if image != nil {
+		if err := db.saveLocked(image); err != nil {
+			return err
+		}
+	}
+	db.consumers = append(db.consumers, c)
+	return nil
 }
 
-// Subscribe atomically captures the database's current state (written to w in
-// Save format) and attaches a subscription that will receive every mutation
-// batch committed after that state — no gap, no overlap. buf is the channel
-// capacity bounding how far the consumer may fall behind before it is cut
-// off; it must be at least 1.
-//
-// The capture runs under the database's write lock, so no mutation can land
-// between the state snapshot and the attachment.
-func (db *Database) Subscribe(w io.Writer, buf int) (*Subscription, error) {
-	if buf < 1 {
-		buf = 1
+// Detach unregisters c, following the registration across store
+// replacements; c receives no record after Detach returns.
+func (db *Database) Detach(c Consumer) {
+	db = db.lockCurrent()
+	defer db.mu.Unlock()
+	if i := slices.Index(db.consumers, c); i >= 0 {
+		db.consumers = slices.Delete(db.consumers, i, i+1)
 	}
+}
+
+// lockCurrent write-locks and returns the database that now holds db's commit
+// stream: db itself, or the last replacement in its ReplaceWith chain.
+func (db *Database) lockCurrent() *Database {
+	for {
+		db.mu.Lock()
+		next := db.successor
+		if next == nil {
+			return db
+		}
+		db.mu.Unlock()
+		db = next
+	}
+}
+
+// ReplaceWith hands db's commit stream to next, which replaces db wholesale
+// (a session's LoadStore). The attached logger first checkpoints next's full
+// state, superseding everything it logged for db; on failure nothing moves
+// and db stays attached and durable. Then the logger and every consumer move
+// to next, and the consumers receive one Commit with Replaced set. next must
+// be a fresh database no one else holds yet.
+func (db *Database) ReplaceWith(next *Database) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.saveLocked(w); err != nil {
-		return nil, err
-	}
-	s := &Subscription{db: db, ch: make(chan []Mutation, buf)}
-	s.C = s.ch
-	db.subs = append(db.subs, s)
-	return s, nil
-}
-
-// Close detaches the subscription and closes its channel. It is safe to call
-// more than once, and safe concurrently with writers.
-func (s *Subscription) Close() {
-	s.db.mu.Lock()
-	defer s.db.mu.Unlock()
-	s.db.dropSubLocked(s)
-}
-
-// Subscribers reports the number of attached log subscribers (for tests and
-// monitoring).
-func (db *Database) Subscribers() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.subs)
-}
-
-// notifyLocked fans a committed batch out to the subscribers. A full channel
-// means the consumer is too far behind to ever see a contiguous stream again,
-// so it is cut off (channel closed, subscription dropped) instead of blocking
-// the writer. Caller holds db.mu.
-func (db *Database) notifyLocked(batch []Mutation) {
-	for i := 0; i < len(db.subs); {
-		s := db.subs[i]
-		select {
-		case s.ch <- batch:
-			i++
-		default:
-			db.dropSubLocked(s)
+	next.mu.Lock()
+	defer next.mu.Unlock()
+	if db.logger != nil {
+		if err := db.logger.Checkpoint(next.ckptStateLocked); err != nil {
+			return err
 		}
 	}
-}
-
-// dropSubLocked removes s from the subscriber list and closes its channel (at
-// most once). Caller holds db.mu.
-func (db *Database) dropSubLocked(s *Subscription) {
-	for i, cur := range db.subs {
-		if cur == s {
-			db.subs = append(db.subs[:i], db.subs[i+1:]...)
-			close(s.ch)
-			return
-		}
+	next.logger, next.consumers = db.logger, db.consumers
+	db.logger, db.consumers, db.successor = nil, nil, next
+	c := &Commit{Replaced: next}
+	for _, con := range next.consumers {
+		con.Committed(c)
 	}
-}
-
-// SetObserver attaches (nil detaches) the commit observer. The observer sees
-// only mutations committed after the call.
-func (db *Database) SetObserver(o Observer) {
-	db.mu.Lock()
-	db.observer = o
-	db.mu.Unlock()
-}
-
-// observeGrow and observeReset notify the attached observer at a publication
-// point. Caller holds db.mu.
-func (db *Database) observeGrow(name string, tuples []value.Tuple, next *relation.Relation) {
-	if db.observer != nil && len(tuples) > 0 {
-		db.observer.CommittedGrow(name, tuples, next)
-	}
-}
-
-func (db *Database) observeReset(name string, next *relation.Relation) {
-	if db.observer != nil {
-		db.observer.CommittedReset(name, next)
-	}
+	return nil
 }
 
 // NameOf returns the variable whose current published value is rel (pointer
@@ -330,8 +322,8 @@ func (db *Database) NameOf(rel *relation.Relation) (string, bool) {
 
 // ReadLocked runs fn with the database read-locked, passing a getter over the
 // current variable bindings. No mutation can publish (and therefore no
-// Observer callback can run) while fn executes, which lets a cache verify a
-// set of published pointers and install an entry atomically with respect to
+// Consumer can run) while fn executes, which lets a cache verify a set of
+// published pointers and install an entry atomically with respect to
 // writers. fn must not call back into the Database.
 func (db *Database) ReadLocked(fn func(get func(string) (*relation.Relation, bool))) {
 	db.mu.RLock()
@@ -349,22 +341,6 @@ func (db *Database) SetLogger(l Logger) {
 	db.mu.Lock()
 	db.logger = l
 	db.mu.Unlock()
-}
-
-// AdoptLogger attaches l after persisting the database's entire current
-// state as a fresh snapshot checkpoint, which supersedes whatever the log
-// held before. A durable session uses it when LoadStore swaps in a
-// replacement store; on failure nothing on disk has moved past its commit
-// point and the logger is not attached, so the session can keep the previous
-// store durable.
-func (db *Database) AdoptLogger(l Logger) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := l.Checkpoint(db.ckptStateLocked); err != nil {
-		return err
-	}
-	db.logger = l
-	return nil
 }
 
 // Checkpoint asks the attached logger to cut a snapshot of the current state
@@ -465,15 +441,10 @@ func (db *Database) Assign(name string, rex *relation.Relation, guards ...Guard)
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.logLocked([]Mutation{{Op: OpAssign, Name: name, Rel: out}}); err != nil {
-		return err
-	}
-	if old, ok := db.engine.Cached(name); ok {
-		db.dropPaths(old)
-	}
-	db.engine.Publish(name, out)
-	db.observeReset(name, out)
-	return nil
+	return db.commitLocked(&Commit{
+		Batch:  []Mutation{{Op: OpAssign, Name: name, Rel: out}},
+		Writes: []Write{{Name: name, Rel: out}},
+	})
 }
 
 // Insert adds tuples to a variable, under the key constraint. The variable's
@@ -482,7 +453,8 @@ func (db *Database) Assign(name string, rex *relation.Relation, guards ...Guard)
 // consistent state. On any violation the variable keeps its previous value.
 //
 // The copy is per call, not per tuple — batch tuples into one Insert where
-// possible; n single-tuple calls clone the relation n times.
+// possible; n single-tuple calls clone the relation n times. An Insert of no
+// tuples changes nothing and commits nothing.
 func (db *Database) Insert(name string, tuples ...value.Tuple) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -493,19 +465,19 @@ func (db *Database) Insert(name string, tuples ...value.Tuple) error {
 	if !ok {
 		return fmt.Errorf("store: insert into undeclared variable %q", name)
 	}
+	if len(tuples) == 0 {
+		return nil
+	}
 	next := r.Clone()
 	for _, t := range tuples {
 		if err := next.Insert(t); err != nil {
 			return err
 		}
 	}
-	if err := db.logLocked([]Mutation{{Op: OpInsert, Name: name, Tuples: tuples}}); err != nil {
-		return err
-	}
-	db.dropPaths(r)
-	db.engine.PublishDelta(name, tuples, next)
-	db.observeGrow(name, tuples, next)
-	return nil
+	return db.commitLocked(&Commit{
+		Batch:  []Mutation{{Op: OpInsert, Name: name, Tuples: tuples}},
+		Writes: []Write{{Name: name, Rel: next, Grow: tuples}},
+	})
 }
 
 // Partition implements eval.PathProvider: it returns the sub-relation of
@@ -522,7 +494,7 @@ func (db *Database) Insert(name string, tuples ...value.Tuple) error {
 // them would serve stale or dead partitions — and the policy that keeps the
 // cache holding only paths that can actually be reused.
 func (db *Database) Partition(base *relation.Relation, pos int, v value.Value) (*relation.Relation, bool) {
-	if !db.published(base) {
+	if _, ok := db.NameOf(base); !ok {
 		return nil, false
 	}
 	k := pathKey{rel: base, pos: pos}
@@ -555,16 +527,6 @@ func (db *Database) Partition(base *relation.Relation, pos int, v value.Value) (
 	// Lookup is read-only on the immutable partition map once built; the
 	// returned partition is itself a published value and must not be mutated.
 	return p.Lookup(v), true
-}
-
-// published reports whether rel is the current value of some variable. The
-// pointer scan is O(#variables), far below the cost of the partition work it
-// gates.
-func (db *Database) published(rel *relation.Relation) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	_, ok := db.engine.Current(rel)
-	return ok
 }
 
 // CachedPaths reports the number of materialized physical access paths (for
@@ -632,7 +594,7 @@ type Tx struct {
 	// write set for that variable is still pure growth over the Begin
 	// snapshot; a Tx.Assign overwrites the variable and moves it to
 	// overwritten permanently. Commit uses this to classify each published
-	// write as an observable delta (CommittedGrow) or a reset.
+	// write as growth (Write.Grow) or a reset.
 	inserted    map[string][]value.Tuple
 	overwritten map[string]bool
 }
@@ -679,7 +641,8 @@ func (tx *Tx) Assign(name string, rex *relation.Relation, guards ...Guard) error
 	return nil
 }
 
-// Insert adds tuples inside the transaction, copying on first write.
+// Insert adds tuples inside the transaction, copying on first write. An
+// Insert of no tuples writes nothing.
 func (tx *Tx) Insert(name string, tuples ...value.Tuple) error {
 	if tx.done {
 		return fmt.Errorf("store: transaction already finished")
@@ -687,6 +650,9 @@ func (tx *Tx) Insert(name string, tuples ...value.Tuple) error {
 	cur, ok := tx.Get(name)
 	if !ok {
 		return fmt.Errorf("store: insert into undeclared variable %q", name)
+	}
+	if len(tuples) == 0 {
+		return nil
 	}
 	if _, own := tx.overlay[name]; !own {
 		cur = cur.Clone()
@@ -720,39 +686,33 @@ func (tx *Tx) Commit() error {
 	}
 	tx.db.mu.Lock()
 	defer tx.db.mu.Unlock()
-	if len(tx.overlay) > 0 {
-		names := make([]string, 0, len(tx.overlay))
-		for n := range tx.overlay {
-			names = append(names, n)
+	if len(tx.overlay) == 0 {
+		tx.done = true
+		return nil
+	}
+	names := tx.Writes()
+	c := &Commit{Batch: make([]Mutation, len(names)), Writes: make([]Write, len(names))}
+	for i, n := range names {
+		r := tx.overlay[n]
+		c.Batch[i] = Mutation{Op: OpAssign, Name: n, Rel: r}
+		c.Writes[i] = Write{Name: n, Rel: r}
+		// The write is growth only if it is pure insertion AND the variable
+		// still holds the Begin snapshot: a concurrent writer between Begin
+		// and Commit means r is base+inserts over a value that is no longer
+		// published (last-writer-wins replacement), so the delta relative to
+		// the current value is not the insert list. (A paged engine that
+		// evicted the value since Begin misses the comparison and reports a
+		// reset — correct, just not incremental.)
+		if tups, ok := tx.inserted[n]; ok && !tx.overwritten[n] {
+			if prev, _ := tx.db.engine.Cached(n); prev != nil && tx.base[n] == prev {
+				c.Writes[i].Grow = tups
+			}
 		}
-		sort.Strings(names)
-		batch := make([]Mutation, 0, len(names))
-		for _, n := range names {
-			batch = append(batch, Mutation{Op: OpAssign, Name: n, Rel: tx.overlay[n]})
-		}
-		if err := tx.db.logLocked(batch); err != nil {
-			return err
-		}
+	}
+	if err := tx.db.commitLocked(c); err != nil {
+		return err
 	}
 	tx.done = true
-	for n, r := range tx.overlay {
-		prev, _ := tx.db.engine.Cached(n)
-		tx.db.dropPaths(prev)
-		// The write is an observable delta only if it is pure insert growth
-		// AND the variable still holds the Begin snapshot: a concurrent
-		// writer between Begin and Commit means r is base+inserts over a
-		// value that is no longer published (last-writer-wins replacement),
-		// so the delta relative to prev is not the insert list. (A paged
-		// engine that evicted the value since Begin misses the comparison
-		// and takes the reset path — correct, just not incremental.)
-		if tups, ok := tx.inserted[n]; ok && !tx.overwritten[n] && prev != nil && tx.base[n] == prev {
-			tx.db.engine.PublishDelta(n, tups, r)
-			tx.db.observeGrow(n, tups, r)
-		} else {
-			tx.db.engine.Publish(n, r)
-			tx.db.observeReset(n, r)
-		}
-	}
 	return nil
 }
 

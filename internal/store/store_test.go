@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -167,5 +169,24 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not a store")); err == nil {
 		t.Error("garbage input must fail")
+	}
+}
+
+// TestLoadBoundsAllocation loads a 15-byte image whose first variable name
+// claims 1<<29 bytes. Read from memory, as a replica reads its bootstrap
+// image, it must be refused without allocating the claimed length.
+func TestLoadBoundsAllocation(t *testing.T) {
+	img := append([]byte(magic), version)
+	img = binary.AppendUvarint(img, 1)
+	img = binary.AppendUvarint(img, 1<<29)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(img))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Load accepted a name longer than its image")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("Load allocated %d bytes for a %d-byte image", grew, len(img))
 	}
 }

@@ -60,7 +60,6 @@
 package wal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -537,8 +536,7 @@ func applyOne(db *store.Database, m store.Mutation) error {
 // encoding Append frames into the log, exposed so the replication stream
 // ships batches in the log's own format.
 func EncodeBatch(batch []store.Mutation) ([]byte, error) {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
+	w := &bytes.Buffer{}
 	if err := store.WriteUvarint(w, uint64(len(batch))); err != nil {
 		return nil, err
 	}
@@ -583,23 +581,21 @@ func EncodeBatch(batch []store.Mutation) ([]byte, error) {
 			return nil, fmt.Errorf("wal: cannot encode mutation op %d", m.Op)
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return w.Bytes(), nil
 }
 
 // DecodeBatch parses a record payload produced by EncodeBatch. Assign
 // mutations come back with Tuples populated (Apply rebuilds the relation
-// against the declared type).
+// against the declared type). Replicas decode payloads a primary sent, so no
+// count in the payload sizes an allocation beyond the bytes that remain.
 func DecodeBatch(payload []byte) ([]store.Mutation, error) {
-	r := bufio.NewReader(bytes.NewReader(payload))
+	r := bytes.NewReader(payload)
 	count, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
 	}
-	if count > maxRecordLen {
-		return nil, fmt.Errorf("corrupt batch count %d", count)
+	if err := store.CheckCount(r, count); err != nil {
+		return nil, err
 	}
 	batch := make([]store.Mutation, 0, count)
 	for i := uint64(0); i < count; i++ {
@@ -628,8 +624,13 @@ func DecodeBatch(payload []byte) ([]store.Mutation, error) {
 			if err != nil {
 				return nil, err
 			}
-			if arity > 1<<20 || n > maxRecordLen {
+			// Every value encodes in at least one byte, and only an empty
+			// block has arity 0.
+			if arity > 1<<20 || n > maxRecordLen || (n > 0 && arity == 0) {
 				return nil, fmt.Errorf("corrupt tuple block %d x %d", n, arity)
+			}
+			if err := store.CheckCount(r, n*arity); err != nil {
+				return nil, err
 			}
 			m.Tuples = make([]value.Tuple, n)
 			for j := range m.Tuples {

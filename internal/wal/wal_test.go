@@ -298,9 +298,9 @@ func TestManualCheckpointAndSnapshotTornTail(t *testing.T) {
 	}
 }
 
-func TestAdoptLoggerReplacesState(t *testing.T) {
-	// AdoptLogger persists the adopted store as a snapshot checkpoint that
-	// supersedes everything the log held before.
+func TestReplaceWithReplacesState(t *testing.T) {
+	// ReplaceWith persists the replacement store as a snapshot checkpoint
+	// that supersedes everything the log held before, and moves the log to it.
 	l, db := openAttached(t, t.TempDir(), Options{Sync: SyncNever})
 	dir := l.Dir()
 	if err := db.Declare("Old", pairType("old")); err != nil {
@@ -317,15 +317,18 @@ func TestAdoptLoggerReplacesState(t *testing.T) {
 	if err := repl.Insert("New", tup("n1", "n2")); err != nil {
 		t.Fatal(err)
 	}
-	db.SetLogger(nil)
 	gen := l.Generation()
-	if err := repl.AdoptLogger(l); err != nil {
+	if err := db.ReplaceWith(repl); err != nil {
 		t.Fatal(err)
 	}
 	if g := l.Generation(); g != gen+1 {
-		t.Fatalf("adoption did not cut a checkpoint: generation %d, want %d", g, gen+1)
+		t.Fatalf("replacement did not cut a checkpoint: generation %d, want %d", g, gen+1)
 	}
-	// Mutations after adoption append to the new generation's log.
+	// The replaced store no longer logs.
+	if err := db.Insert("Old", tup("late", "write")); err != nil {
+		t.Fatal(err)
+	}
+	// Mutations after the replacement append to the new generation's log.
 	if err := repl.Insert("New", tup("n3", "n4")); err != nil {
 		t.Fatal(err)
 	}
@@ -335,10 +338,10 @@ func TestAdoptLoggerReplacesState(t *testing.T) {
 	l2, db2 := openAttached(t, dir, Options{})
 	defer l2.Close()
 	if got := saveBytes(t, db2); !bytes.Equal(got, want) {
-		t.Fatal("adopted state did not replace prior state on recovery")
+		t.Fatal("replacement state did not replace prior state on recovery")
 	}
 	if _, ok := db2.Get("Old"); ok {
-		t.Fatal("variable from before the adoption still resolves")
+		t.Fatal("variable from before the replacement still resolves")
 	}
 }
 

@@ -26,11 +26,11 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/store"
 	"repro/internal/value"
@@ -80,7 +80,7 @@ const (
 	TVars        byte = 25 // (empty)
 	TVarsInfo    byte = 26 // n uvarint, n * (name string, tuple count uvarint)
 	TFollow      byte = 27 // (empty) — switches the connection to streaming
-	TFollowSnap  byte = 28 // store.Save bytes of the subscription base state
+	TFollowSnap  byte = 28 // store.Save bytes of the follow stream's base state
 	TFollowBatch byte = 29 // one wal.EncodeBatch record
 	TOK          byte = 30 // empty success response
 )
@@ -98,7 +98,7 @@ const (
 	CodeShutdown   = "shutdown"   // server draining; retry against another endpoint
 	CodeAuth       = "auth"       // handshake rejected
 	CodeProto      = "proto"      // malformed or out-of-protocol frame
-	CodeBehind     = "behind"     // follow stream cut: subscriber fell behind
+	CodeBehind     = "behind"     // follow stream cut: follower fell behind or the store was replaced
 	CodeCanceled   = "canceled"   // server-side deadline/cancellation
 	CodeInternal   = "internal"   // anything else
 )
@@ -118,6 +118,11 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// frameChunk is how much of a frame ReadFrame allocates ahead of the bytes
+// that actually arrive: the length prefix is the peer's word, so a frame that
+// claims MaxFrame and sends nothing costs one chunk, not a gigabyte.
+const frameChunk = 1 << 20
+
 // ReadFrame reads one frame, returning its type and payload.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
 	var head [5]byte
@@ -131,9 +136,14 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 	if _, err := io.ReadFull(r, head[4:5]); err != nil {
 		return 0, nil, err
 	}
-	payload := make([]byte, length-1)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	n := int(length - 1)
+	payload := make([]byte, 0, min(n, frameChunk))
+	for len(payload) < n {
+		k := min(n-len(payload), frameChunk)
+		payload = slices.Grow(payload, k)[:len(payload)+k]
+		if _, err := io.ReadFull(r, payload[len(payload)-k:]); err != nil {
+			return 0, nil, err
+		}
 	}
 	return head[4], payload, nil
 }
@@ -143,16 +153,11 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 // first and Payload returns it, so call sites stay linear.
 type Enc struct {
 	buf bytes.Buffer
-	w   *bufio.Writer
 	err error
 }
 
 // NewEnc returns an empty payload encoder.
-func NewEnc() *Enc {
-	e := &Enc{}
-	e.w = bufio.NewWriter(&e.buf)
-	return e
-}
+func NewEnc() *Enc { return &Enc{} }
 
 func (e *Enc) note(err error) {
 	if e.err == nil {
@@ -161,13 +166,13 @@ func (e *Enc) note(err error) {
 }
 
 // Str appends a length-prefixed string.
-func (e *Enc) Str(s string) { e.note(store.WriteString(e.w, s)) }
+func (e *Enc) Str(s string) { e.note(store.WriteString(&e.buf, s)) }
 
 // Uvarint appends an unsigned varint.
-func (e *Enc) Uvarint(u uint64) { e.note(store.WriteUvarint(e.w, u)) }
+func (e *Enc) Uvarint(u uint64) { e.note(store.WriteUvarint(&e.buf, u)) }
 
 // Byte appends one raw byte.
-func (e *Enc) Byte(b byte) { e.note(e.w.WriteByte(b)) }
+func (e *Enc) Byte(b byte) { e.buf.WriteByte(b) }
 
 // Bool appends a bool as one byte.
 func (e *Enc) Bool(b bool) {
@@ -179,62 +184,102 @@ func (e *Enc) Bool(b bool) {
 }
 
 // Value appends one scalar in store.WriteValue format.
-func (e *Enc) Value(v value.Value) { e.note(store.WriteValue(e.w, v)) }
+func (e *Enc) Value(v value.Value) { e.note(store.WriteValue(&e.buf, v)) }
 
 // Bytes appends a length-prefixed byte block.
 func (e *Enc) Bytes(p []byte) {
 	e.Uvarint(uint64(len(p)))
-	_, err := e.w.Write(p)
-	e.note(err)
+	e.buf.Write(p)
 }
 
-// Payload flushes and returns the encoded payload (or the first error).
+// Payload returns the encoded payload (or the first error).
 func (e *Enc) Payload() ([]byte, error) {
-	e.note(e.w.Flush())
 	if e.err != nil {
 		return nil, e.err
 	}
 	return e.buf.Bytes(), nil
 }
 
-// Dec decodes one message payload.
+// Dec decodes one message payload. It remembers its first failure (Err), so
+// a caller can tell a malformed payload from a later transport failure.
 type Dec struct {
-	r *bufio.Reader
+	r   bytes.Reader
+	err error
 }
 
 // NewDec wraps a payload for decoding.
-func NewDec(p []byte) *Dec { return &Dec{r: bufio.NewReader(bytes.NewReader(p))} }
+func NewDec(p []byte) *Dec {
+	d := &Dec{}
+	d.r.Reset(p)
+	return d
+}
+
+// Err reports the first decode failure, or nil.
+func (d *Dec) Err() error { return d.err }
+
+func (d *Dec) note(err error) error {
+	if d.err == nil {
+		d.err = err
+	}
+	return err
+}
+
+// Len reports the payload bytes not yet decoded.
+func (d *Dec) Len() int { return d.r.Len() }
+
+// Count reads an element count. Every element encodes in at least one byte,
+// so a count beyond the bytes left is corrupt: Count rejects it, and callers
+// may size allocations by what it returns.
+func (d *Dec) Count() (int, error) {
+	n, err := d.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if err := store.CheckCount(&d.r, n); err != nil {
+		return 0, d.note(err)
+	}
+	return int(n), nil
+}
 
 // Str reads a length-prefixed string.
-func (d *Dec) Str() (string, error) { return store.ReadString(d.r) }
+func (d *Dec) Str() (string, error) {
+	s, err := store.ReadString(&d.r)
+	return s, d.note(err)
+}
 
 // Uvarint reads an unsigned varint.
-func (d *Dec) Uvarint() (uint64, error) { return binary.ReadUvarint(d.r) }
+func (d *Dec) Uvarint() (uint64, error) {
+	u, err := binary.ReadUvarint(&d.r)
+	return u, d.note(err)
+}
 
 // Byte reads one raw byte.
-func (d *Dec) Byte() (byte, error) { return d.r.ReadByte() }
+func (d *Dec) Byte() (byte, error) {
+	b, err := d.r.ReadByte()
+	return b, d.note(err)
+}
 
 // Bool reads a one-byte bool.
 func (d *Dec) Bool() (bool, error) {
-	b, err := d.r.ReadByte()
+	b, err := d.Byte()
 	return b != 0, err
 }
 
 // Value reads one scalar in store.ReadValue format.
-func (d *Dec) Value() (value.Value, error) { return store.ReadValue(d.r) }
+func (d *Dec) Value() (value.Value, error) {
+	v, err := store.ReadValue(&d.r)
+	return v, d.note(err)
+}
 
 // Bytes reads a length-prefixed byte block.
 func (d *Dec) Bytes() ([]byte, error) {
-	n, err := d.Uvarint()
+	n, err := d.Count()
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: corrupt block length %d", n)
-	}
 	p := make([]byte, n)
-	if _, err := io.ReadFull(d.r, p); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(&d.r, p); err != nil {
+		return nil, d.note(err)
 	}
 	return p, nil
 }

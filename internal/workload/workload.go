@@ -1,5 +1,5 @@
 // Package workload generates the deterministic synthetic datasets used by
-// the experiment suite (EXPERIMENTS.md). The paper's running example is a
+// the experiment suite (internal/experiments). The paper's running example is a
 // CAD scene of objects related by Infront and Ontop facts (sections 2–3);
 // the recursion benchmarks additionally use the graph shapes classic for
 // deductive-database evaluation: chains, cycles, trees, grids (whose

@@ -93,10 +93,11 @@ type DB struct {
 	pager *pagestore.Engine
 
 	// views is the materialized derived-relation cache (WithMaterialization;
-	// on by default), registered as the store's commit observer so committed
-	// deltas maintain cached fixpoints incrementally. nil when disabled; the
-	// matview API is nil-safe, so unconditional Reset/Snapshot calls are fine,
-	// but it is never assigned into an interface field when nil.
+	// on by default), attached as a consumer of the store's commit stream so
+	// committed deltas maintain cached fixpoints incrementally. nil when
+	// disabled; the matview API is nil-safe, so unconditional Reset/Snapshot
+	// calls are fine, but it is never assigned into an interface field when
+	// nil.
 	views *matview.Cache
 
 	// passes is the optimizer pass pipeline run at Prepare time; nil when the
@@ -122,7 +123,6 @@ func Open(opts ...Option) (*DB, error) {
 	env := eval.NewEnv()
 	reg := core.NewRegistry()
 	d := &DB{
-		Store:           store.NewDatabase(),
 		Checker:         typecheck.New(),
 		Registry:        reg,
 		env:             env,
@@ -135,7 +135,7 @@ func Open(opts ...Option) (*DB, error) {
 	}
 	env.Parallelism = cfg.parallelism
 	env.ParallelMinRows = cfg.parallelMinRows
-	d.Store.SetParallelism(cfg.parallelism)
+	d.useStore(store.NewDatabase())
 	if cfg.engine == EnginePaged && cfg.path == "" {
 		return nil, fmt.Errorf("dbpl: the paged storage engine requires WithPath (the heap file is the primary copy)")
 	}
@@ -178,16 +178,8 @@ func Open(opts ...Option) (*DB, error) {
 			}
 			return nil, fmt.Errorf("dbpl: opening durable store at %s: %w", cfg.path, err)
 		}
-		d.Store = st
-		st.SetParallelism(cfg.parallelism)
+		d.useStore(st)
 		d.wal = wlog
-		// Recovered base relations type-check in queries without re-running
-		// the declaring modules.
-		for _, name := range st.Names() {
-			if t, ok := st.Type(name); ok {
-				d.Checker.Vars[name] = t
-			}
-		}
 		st.SetLogger(wlog)
 	}
 	// Failures past this point must release the opened write-ahead log; a
@@ -215,17 +207,13 @@ func Open(opts ...Option) (*DB, error) {
 			}
 			d.passes = append(d.passes, p)
 		}
-		// Selector applications on the module-execution path share the
-		// store's physical access paths too.
-		env.Paths = d.Store
 	}
 	d.Engine = core.NewEngine(reg, env)
 	d.Engine.Mode = cfg.mode
 	d.Engine.MaxRounds = cfg.maxRounds
 	d.Engine.Parallelism = cfg.parallelism
 	if cfg.matviews > 0 {
-		d.views = matview.New(cfg.matviews)
-		d.views.Attach(d.Store)
+		d.views = matview.New(cfg.matviews, d.Store)
 		d.Engine.Views = d.views
 	}
 	d.rebuildDecls()
@@ -237,20 +225,15 @@ func Open(opts ...Option) (*DB, error) {
 	return d, nil
 }
 
-// store returns the current store pointer under the lock: LoadStore swaps
-// it, so unsynchronized reads race.
-func (d *DB) store() *store.Database {
+// StoreSnapshot returns the current relation-variable store under the
+// session lock. Code that runs concurrently with LoadStore (the network
+// server, a replica's health reporting, the DB's own write paths) must use
+// this instead of reading the Store field directly, which races with the
+// swap.
+func (d *DB) StoreSnapshot() *store.Database {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.Store
-}
-
-// StoreSnapshot returns the current relation-variable store under the
-// session lock. Infrastructure that runs concurrently with LoadStore (the
-// network server, a replica's health reporting) must use this instead of
-// reading the Store field directly, which races with the swap.
-func (d *DB) StoreSnapshot() *store.Database {
-	return d.store()
 }
 
 // SetMode selects the fixpoint strategy for constructor evaluation.
@@ -338,7 +321,7 @@ func (d *DB) Checkpoint() error {
 			return &DegradedError{Cause: cause}
 		}
 	}
-	return wrapErr(d.noteMutErr(d.store().Checkpoint()))
+	return wrapErr(d.noteMutErr(d.StoreSnapshot().Checkpoint()))
 }
 
 // Health reports the durability state of the database.
@@ -779,41 +762,36 @@ func (d *DB) LoadStore(r io.Reader) error {
 	defer d.execMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.wal != nil {
-		// Detach the old store first: an in-flight mutation on it finishes
-		// logging (it holds the old store's lock) before the detach returns,
-		// so its record lands before the replacement checkpoint and is
-		// superseded by it. AdoptLogger then persists the new store's full
-		// state as a snapshot checkpoint; on failure the old generation is
-		// still the commit point, so reattaching keeps the old store
-		// durable and consistent.
-		d.Store.SetLogger(nil)
-		if err := db.AdoptLogger(d.wal); err != nil {
-			d.Store.SetLogger(d.wal)
-			return fmt.Errorf("dbpl: persisting replacement store: %w", d.noteMutErr(err))
-		}
+	// One store call moves the commit stream to the replacement: the
+	// write-ahead log checkpoints its full state (on failure the old store
+	// stays attached and durable), and the materialized views and follow
+	// streams receive one reset — the views drop every entry and re-point at
+	// the new store, the follow streams cut their followers off to
+	// re-bootstrap.
+	if err := d.Store.ReplaceWith(db); err != nil {
+		return fmt.Errorf("dbpl: persisting replacement store: %w", d.noteMutErr(err))
 	}
-	d.Store = db
-	db.SetParallelism(d.parallelism)
-	// Drop the exec-path relation bindings of the previous store so stale
-	// relations do not keep resolving after the swap; the next statement
-	// re-binds from the new store.
+	d.useStore(db)
+	// Cached plans resolved names against the replaced store.
+	d.plans.clear()
+	return nil
+}
+
+// useStore makes st the session's relation-variable store. Exec-path
+// bindings of a previous store are dropped so they stop resolving (the next
+// statement re-binds from st); selector applications on the exec path share
+// st's physical access paths; st's variables type-check in queries without
+// re-running their declaring modules. Caller holds d.mu, or is Open.
+func (d *DB) useStore(st *store.Database) {
+	d.Store = st
+	st.SetParallelism(d.parallelism)
 	d.env.Rels = make(map[string]*relation.Relation)
 	if !d.noOptimize {
-		d.env.Paths = db
+		d.env.Paths = st
 	}
-	for _, name := range db.Names() {
-		if t, ok := db.Type(name); ok {
+	for _, name := range st.Names() {
+		if t, ok := st.Type(name); ok {
 			d.Checker.Vars[name] = t
 		}
 	}
-	// Cached plans resolved names against the replaced store, and cached
-	// fixpoints were computed over its relations: re-point the view cache at
-	// the new store (which also drops every entry and re-registers the
-	// commit observer there).
-	d.plans.clear()
-	if d.views != nil {
-		d.views.Attach(db)
-	}
-	return nil
 }

@@ -58,7 +58,7 @@ func (d *DB) Begin(ctx context.Context) (*Tx, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &Tx{db: d, tx: d.store().Begin(), guards: make(map[string][]txGuard)}, nil
+	return &Tx{db: d, tx: d.StoreSnapshot().Begin(), guards: make(map[string][]txGuard)}, nil
 }
 
 // Exec runs a DBPL module's statements (SHOW and assignment, including
@@ -235,7 +235,7 @@ func (t *Tx) Commit() error {
 	if t.done {
 		return ErrTxDone
 	}
-	if t.db.store() != t.tx.DB() {
+	if t.db.StoreSnapshot() != t.tx.DB() {
 		return fmt.Errorf("dbpl: store was replaced (LoadStore) during the transaction; nothing committed")
 	}
 	env, _ := t.db.txCallEnv(context.Background(), t.tx)
