@@ -522,12 +522,13 @@ func (c *Cache) Committed(rec *store.Commit) {
 		c.clearLocked()
 		return
 	}
-	for _, w := range rec.Writes {
-		for e := range c.byName[w.Name] {
+	for i, w := range rec.Writes {
+		name := rec.Batch[i].Name
+		for e := range c.byName[name] {
 			if e.dead {
 				continue
 			}
-			if w.Grow != nil && w.Name == e.baseVar && e.growSafe && e.pendTuples+len(w.Grow) <= maxPendingTuples {
+			if w.Grow != nil && name == e.baseVar && e.growSafe && e.pendTuples+len(w.Grow) <= maxPendingTuples {
 				e.pending = append(e.pending, delta{tuples: w.Grow, next: w.Rel})
 				e.pendTuples += len(w.Grow)
 				c.backlog += len(w.Grow)

@@ -15,11 +15,12 @@ type recObserver struct {
 }
 
 func (o *recObserver) Committed(c *Commit) {
-	for _, w := range c.Writes {
+	for i, w := range c.Writes {
+		name := c.Batch[i].Name
 		if w.Grow != nil {
-			o.events = append(o.events, fmt.Sprintf("grow %s +%d", w.Name, len(w.Grow)))
+			o.events = append(o.events, fmt.Sprintf("grow %s +%d", name, len(w.Grow)))
 		} else {
-			o.events = append(o.events, "reset "+w.Name)
+			o.events = append(o.events, "reset "+name)
 		}
 		o.nexts = append(o.nexts, w.Rel)
 	}

@@ -375,6 +375,20 @@ func Load(r io.Reader) (*Database, error) {
 			return nil, err
 		}
 		arity := typ.Element.Arity()
+		// Every value encodes in at least one byte; a relation with no
+		// attributes holds at most the empty tuple.
+		// (Checking nTuples alone first keeps the product from overflowing.)
+		if arity == 0 && nTuples > 1 {
+			return nil, fmt.Errorf("store: corrupt tuple count %d for %q with no attributes", nTuples, name)
+		}
+		if arity > 0 {
+			if err := CheckCount(br, nTuples); err != nil {
+				return nil, err
+			}
+			if err := CheckCount(br, nTuples*uint64(arity)); err != nil {
+				return nil, err
+			}
+		}
 		rel, _ := db.Get(name)
 		for j := uint64(0); j < nTuples; j++ {
 			tup := make(value.Tuple, arity)

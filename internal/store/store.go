@@ -82,9 +82,9 @@ type Commit struct {
 	Replaced *Database
 }
 
-// Write is the published result of one mutation.
+// Write is the published result of one mutation; the variable it wrote is
+// the mutation's Name.
 type Write struct {
-	Name string
 	// Rel is the variable's new published value.
 	Rel *relation.Relation
 	// Grow holds the inserted tuples when Rel is exactly the previous
@@ -198,7 +198,7 @@ func (db *Database) Declare(name string, typ schema.RelationType) error {
 	}
 	return db.commitLocked(&Commit{
 		Batch:  []Mutation{{Op: OpDeclare, Name: name, Type: typ}},
-		Writes: []Write{{Name: name}},
+		Writes: make([]Write, 1),
 	})
 }
 
@@ -212,18 +212,18 @@ func (db *Database) commitLocked(c *Commit) error {
 		}
 	}
 	for i := range c.Writes {
-		w := &c.Writes[i]
-		if old, ok := db.engine.Cached(w.Name); ok {
+		w, name := &c.Writes[i], c.Batch[i].Name
+		if old, ok := db.engine.Cached(name); ok {
 			db.dropPaths(old)
 		}
 		switch {
 		case c.Batch[i].Op == OpDeclare:
-			db.engine.Declare(w.Name, c.Batch[i].Type)
-			w.Rel, _, _ = db.engine.Get(w.Name)
+			db.engine.Declare(name, c.Batch[i].Type)
+			w.Rel, _, _ = db.engine.Get(name)
 		case w.Grow != nil:
-			db.engine.PublishDelta(w.Name, w.Grow, w.Rel)
+			db.engine.PublishDelta(name, w.Grow, w.Rel)
 		default:
-			db.engine.Publish(w.Name, w.Rel)
+			db.engine.Publish(name, w.Rel)
 		}
 	}
 	for _, con := range db.consumers {
@@ -443,7 +443,7 @@ func (db *Database) Assign(name string, rex *relation.Relation, guards ...Guard)
 	defer db.mu.Unlock()
 	return db.commitLocked(&Commit{
 		Batch:  []Mutation{{Op: OpAssign, Name: name, Rel: out}},
-		Writes: []Write{{Name: name, Rel: out}},
+		Writes: []Write{{Rel: out}},
 	})
 }
 
@@ -476,7 +476,7 @@ func (db *Database) Insert(name string, tuples ...value.Tuple) error {
 	}
 	return db.commitLocked(&Commit{
 		Batch:  []Mutation{{Op: OpInsert, Name: name, Tuples: tuples}},
-		Writes: []Write{{Name: name, Rel: next, Grow: tuples}},
+		Writes: []Write{{Rel: next, Grow: tuples}},
 	})
 }
 
@@ -695,7 +695,7 @@ func (tx *Tx) Commit() error {
 	for i, n := range names {
 		r := tx.overlay[n]
 		c.Batch[i] = Mutation{Op: OpAssign, Name: n, Rel: r}
-		c.Writes[i] = Write{Name: n, Rel: r}
+		c.Writes[i] = Write{Rel: r}
 		// The write is growth only if it is pure insertion AND the variable
 		// still holds the Begin snapshot: a concurrent writer between Begin
 		// and Commit means r is base+inserts over a value that is no longer

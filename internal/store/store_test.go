@@ -190,3 +190,36 @@ func TestLoadBoundsAllocation(t *testing.T) {
 		t.Fatalf("Load allocated %d bytes for a %d-byte image", grew, len(img))
 	}
 }
+
+// TestLoadNullaryRelation round-trips a relation with no attributes holding
+// the empty tuple, stored last so its tuple ends the image with no bytes, and
+// refuses an in-memory image claiming more than that one tuple: each would
+// read zero bytes, so the count alone must be bounded.
+func TestLoadNullaryRelation(t *testing.T) {
+	flagT := schema.RelationType{Name: "flag"}
+	db := NewDatabase()
+	if err := db.Declare("Flag", flagT); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("Flag", value.Tuple{}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	img := buf.Bytes()
+	db2, err := Load(bytes.NewReader(img))
+	if err != nil {
+		t.Fatalf("Load refused the empty tuple: %v", err)
+	}
+	if r, _ := db2.Get("Flag"); r.Len() != 1 {
+		t.Fatalf("Flag loaded with %d tuples, want 1", r.Len())
+	}
+
+	// The image ends in the tuple count 1; claim 1<<63 instead.
+	hostile := binary.AppendUvarint(append([]byte(nil), img[:len(img)-1]...), 1<<63)
+	if _, err := Load(bytes.NewReader(hostile)); err == nil {
+		t.Fatal("Load accepted 1<<63 tuples of a relation with no attributes")
+	}
+}

@@ -31,6 +31,27 @@ func TestDecodeBatchBoundsAllocation(t *testing.T) {
 	}
 }
 
+// TestDecodeBatchNullaryBlock round-trips the tuple block of a relation with
+// no attributes: the empty tuple encodes in no bytes, so the block is arity 0
+// with one tuple. A block claiming more tuples at arity 0 is corrupt.
+func TestDecodeBatchNullaryBlock(t *testing.T) {
+	p, err := EncodeBatch([]store.Mutation{{Op: store.OpInsert, Name: "Flag", Tuples: []value.Tuple{{}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := DecodeBatch(p)
+	if err != nil {
+		t.Fatalf("DecodeBatch refused the empty tuple: %v", err)
+	}
+	if len(batch) != 1 || batch[0].Name != "Flag" || len(batch[0].Tuples) != 1 || len(batch[0].Tuples[0]) != 0 {
+		t.Fatalf("decoded %+v, want one insert of the empty tuple into Flag", batch)
+	}
+	two := []byte{1, byte(store.OpInsert), 4, 'F', 'l', 'a', 'g', 0, 2}
+	if _, err := DecodeBatch(two); err == nil {
+		t.Fatal("DecodeBatch accepted two tuples at arity 0")
+	}
+}
+
 // FuzzDecodeBatch feeds arbitrary payloads to the replication and recovery
 // decoder: it may reject them, but must never panic, and what it accepts can
 // hold no more mutations or tuples than the payload has bytes. Hand-written
@@ -41,6 +62,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		{{Op: store.OpDeclare, Name: "Edge", Type: pairType("edge")}},
 		{{Op: store.OpInsert, Name: "Edge", Tuples: []value.Tuple{tup("x", "y")}}},
 		{{Op: store.OpAssign, Name: "Edge", Rel: rel}, {Op: store.OpAssign, Name: "Link", Rel: relation.New(pairType("link"))}},
+		{{Op: store.OpInsert, Name: "Flag", Tuples: []value.Tuple{{}}}},
 	} {
 		p, err := EncodeBatch(batch)
 		if err != nil {

@@ -624,9 +624,9 @@ func DecodeBatch(payload []byte) ([]store.Mutation, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Every value encodes in at least one byte, and only an empty
-			// block has arity 0.
-			if arity > 1<<20 || n > maxRecordLen || (n > 0 && arity == 0) {
+			// Every value encodes in at least one byte; a relation with no
+			// attributes holds at most the empty tuple.
+			if arity > 1<<20 || n > maxRecordLen || (arity == 0 && n > 1) {
 				return nil, fmt.Errorf("corrupt tuple block %d x %d", n, arity)
 			}
 			if err := store.CheckCount(r, n*arity); err != nil {

@@ -520,3 +520,52 @@ func TestStaleGenerationCleanup(t *testing.T) {
 		t.Fatal("stale generation not removed")
 	}
 }
+
+// TestNullaryRelationRecovers logs writes to relations with no attributes —
+// an Insert and a Tx assignment of the empty tuple, whose tuple blocks have
+// arity 0 and one tuple — and recovers them from the log, then from a
+// checkpoint snapshot.
+func TestNullaryRelationRecovers(t *testing.T) {
+	flagT := schema.RelationType{Name: "flag"}
+	l, db := openAttached(t, t.TempDir(), Options{Sync: SyncNever, CheckpointEvery: -1})
+	dir := l.Dir()
+	for _, name := range []string{"Flag", "Other"} {
+		if err := db.Declare(name, flagT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Insert("Flag", value.Tuple{}); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	if err := tx.Assign("Other", relation.MustFromTuples(flagT, value.Tuple{})); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := saveBytes(t, db)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, db2 := openAttached(t, dir, Options{Sync: SyncNever, CheckpointEvery: -1})
+	if got := saveBytes(t, db2); !bytes.Equal(got, want) {
+		t.Fatalf("log replay recovered\n%x\nwant\n%x", got, want)
+	}
+	if r, _ := db2.Get("Flag"); r.Len() != 1 {
+		t.Fatalf("Flag recovered with %d tuples, want the empty tuple", r.Len())
+	}
+	if err := db2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l3, db3 := openAttached(t, dir, Options{})
+	defer l3.Close()
+	if got := saveBytes(t, db3); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot recovered\n%x\nwant\n%x", got, want)
+	}
+}
